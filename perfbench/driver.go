@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,6 +66,9 @@ type phase struct {
 	// backlog is the open loop's count of requests still in flight when
 	// the last one was sent.
 	backlog int
+	// steal is the share of the host's CPU time stolen by other guests
+	// while the phase ran.
+	steal float64
 }
 
 // queryPool is the workload's fixed, seeded set of queries, handed out in
@@ -108,6 +114,7 @@ func openLoop(submit submitFunc, pool *queryPool, rate float64, n int, rng *rand
 		wg       sync.WaitGroup
 		inflight atomic.Int64
 	)
+	st := readCPUTicks()
 	t0 := time.Now()
 	for i := 0; i < n; {
 		for ; i < n && due[i] <= time.Since(t0); i++ {
@@ -128,7 +135,7 @@ func openLoop(submit submitFunc, pool *queryPool, rate float64, n int, rng *rand
 	}
 	backlog := int(inflight.Load())
 	wg.Wait()
-	return phase{recs: recs, wall: time.Since(t0), backlog: backlog}
+	return phase{recs: recs, wall: time.Since(t0), backlog: backlog, steal: st.stealSince()}
 }
 
 // closedLoop runs clients that each send their next request when the previous
@@ -139,6 +146,7 @@ func closedLoop(submit submitFunc, pool *queryPool, clients int, dur time.Durati
 		wg   sync.WaitGroup
 		sent atomic.Int64
 	)
+	st := readCPUTicks()
 	t0 := time.Now()
 	stop := t0.Add(dur)
 	for c := range per {
@@ -162,7 +170,7 @@ func closedLoop(submit submitFunc, pool *queryPool, clients int, dur time.Durati
 		recs = append(recs, r...)
 	}
 	sort.Slice(recs, func(a, b int) bool { return recs[a].at < recs[b].at })
-	return phase{recs: recs, wall: wall}
+	return phase{recs: recs, wall: wall, steal: st.stealSince()}
 }
 
 // latenciesMS returns every request's latency in milliseconds; a request that
@@ -212,6 +220,42 @@ func (p phase) chunkedP99MS(limit time.Duration) float64 {
 // join appends q's requests to p's, as one phase measured in two stretches.
 func (p phase) join(q phase) phase {
 	return phase{recs: append(p.recs, q.recs...), wall: p.wall + q.wall, backlog: max(p.backlog, q.backlog)}
+}
+
+// cpuTicks is the host's aggregate CPU time from /proc/stat, in ticks.
+type cpuTicks struct{ steal, total uint64 }
+
+// readCPUTicks reads the first line of /proc/stat: user, nice, system, idle,
+// iowait, irq, softirq and steal, the eighth. Zero where it cannot be read.
+func readCPUTicks() cpuTicks {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return cpuTicks{}
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return cpuTicks{}
+	}
+	var t cpuTicks
+	for i, s := range f[1:9] {
+		v, _ := strconv.ParseUint(s, 10, 64)
+		t.total += v
+		if i == 7 {
+			t.steal = v
+		}
+	}
+	return t
+}
+
+// stealSince is the share of CPU time stolen between t and now; 0 when
+// /proc/stat is unreadable or no tick passed.
+func (t cpuTicks) stealSince() float64 {
+	now := readCPUTicks()
+	if now.total <= t.total {
+		return 0
+	}
+	return float64(now.steal-t.steal) / float64(now.total-t.total)
 }
 
 func (p phase) lagsMS() []float64 {

@@ -21,7 +21,7 @@ import (
 )
 
 // latencyLimit is the end-to-end limit on p99: the knee criterion, and the
-// serving deadline of the open-loop workloads.
+// serving deadline of prod-open.
 const latencyLimit = 100 * time.Millisecond
 
 // l3Bytes is the last-level cache of the reference host (Intel Xeon, 2 vCPUs,
@@ -67,6 +67,13 @@ func (w *workloadDef) open() bool { return w.highQPS > 0 }
 // every request's deadline.
 var openServing = serving.Options{Admission: serving.AdmissionOptions{Shed: true, SLA: latencyLimit}}
 
+// tieredServing is openServing without the deadline. The tiered store's sweep
+// stalls every replica now and then for up to about 100 ms; with the deadline
+// a stall expired a few requests in some runs and none in others. Without
+// it a stall shows in full as latency, in every run, and a run fails nothing
+// unless the submit queue overflows.
+var tieredServing = serving.Options{Admission: serving.AdmissionOptions{Shed: true}}
+
 func rmc2() (*model.Spec, error) { return model.DLRMRMC2(12, 4) }
 
 var workloads = []workloadDef{
@@ -96,7 +103,7 @@ var workloads = []workloadDef{
 		tiered:            true,
 		routed:            true,
 		warmPass:          true,
-		serving:           openServing,
+		serving:           tieredServing,
 		lowQPS:            500,
 		highQPS:           1500,
 		throughputClients: 4,
